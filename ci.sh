@@ -105,9 +105,9 @@ rm -rf "$SYNC_SMOKE_DIR"
 echo "==> ingest smoke (2 workloads, fasttrack+djit, workers 1 vs 8)"
 INGEST_SMOKE_DIR=$(mktemp -d)
 ./target/release/ddrace record --bench unprotected_counter --scale test \
-    --format binary --out "$INGEST_SMOKE_DIR/counter.ddrt" > /dev/null
+    --out "$INGEST_SMOKE_DIR/counter.ddrt" > /dev/null
 ./target/release/ddrace record --bench sparse_race --scale test \
-    --format binary --out "$INGEST_SMOKE_DIR/sparse.ddrt" > /dev/null
+    --out "$INGEST_SMOKE_DIR/sparse.ddrt" > /dev/null
 ./target/release/ddrace ingest \
     --traces "$INGEST_SMOKE_DIR/counter.ddrt,$INGEST_SMOKE_DIR/sparse.ddrt" \
     --detectors fasttrack,djit --workers 1 --quiet \
@@ -154,7 +154,7 @@ DDRACE_WORKERS=8 cargo test -q -p ddrace-conform --test parallel_replay
 echo "==> ingest replay-workers smoke (1 vs 8 workers)"
 REPLAY_SMOKE_DIR=$(mktemp -d)
 ./target/release/ddrace record --bench unprotected_counter --scale test \
-    --format binary --out "$REPLAY_SMOKE_DIR/counter.ddrt" > /dev/null
+    --out "$REPLAY_SMOKE_DIR/counter.ddrt" > /dev/null
 ./target/release/ddrace ingest \
     --traces "$REPLAY_SMOKE_DIR/counter.ddrt" \
     --detectors fasttrack --quiet --replay-workers 1 \

@@ -12,8 +12,7 @@
 //! - [`gen`] — seeded spec generation, biased toward lock, fork-join,
 //!   barrier, and deliberately racy structures;
 //! - [`refdet`] — [`RefHb`](refdet::RefHb), a from-spec reference
-//!   happens-before detector over a plain `HashMap`, plus
-//!   [`feed_trace`](refdet::feed_trace) and the planted
+//!   happens-before detector over a plain `HashMap`, plus the planted
 //!   [`Fault`](refdet::Fault) hook that proves the oracles can catch real
 //!   bugs;
 //! - [`oracles`] — the battery: differential (FastTrack vs Djit⁺ vs
@@ -41,6 +40,6 @@ pub use campaign::{
 };
 pub use gen::{generate, Archetype};
 pub use oracles::{check_spec, check_spec_with, SpecVerdict, Violation};
-pub use refdet::{feed_trace, Fault, RefHb};
+pub use refdet::{Fault, RefHb};
 pub use shrink::{shrink_spec, SHRINK_BUDGET};
 pub use spec::{FuzzOp, FuzzRound, FuzzSpec};

@@ -33,12 +33,12 @@
 //! are ordinary checked data accesses with no edge semantics to diverge
 //! on.
 
-use crate::refdet::{feed_trace, Fault, RefHb};
+use crate::refdet::{Fault, RefHb};
 use crate::spec::FuzzSpec;
 use ddrace_core::{AnalysisMode, DetectorKind, RunResult, SimConfig, Simulation};
-use ddrace_detector::{racy_keys, DetectorConfig, RaceDetector};
+use ddrace_detector::{racy_keys, replay, DetectorConfig, RaceDetector};
 use ddrace_program::{
-    AddressSpace, Op, PickStrategy, SchedulerConfig, ThreadId, Trace, TraceEvent,
+    AddressSpace, Op, OpClass, PickStrategy, SchedulerConfig, ThreadId, Trace, TraceEvent,
 };
 
 /// One failed oracle check: which oracle, and a human-readable account of
@@ -205,7 +205,7 @@ pub fn check_spec_with(spec: &FuzzSpec, fault: Fault) -> SpecVerdict {
     // Reference divergence: Djit vs the independent HashMap-backed
     // reimplementation, byte-for-byte.
     let mut reference = RefHb::with_fault(DetectorConfig::default(), fault);
-    feed_trace(&trace, &mut reference);
+    replay(&mut reference, trace.events());
     if reference.reports().reports() != dj.races.reports.as_slice()
         || reference.reports().occurrences() != dj.races.report_occurrences.as_slice()
     {
@@ -409,10 +409,10 @@ fn relaxed_keys_of(trace: &Trace) -> Vec<u64> {
         .events()
         .iter()
         .filter_map(|event| match event {
-            TraceEvent::Op {
-                op: Op::RelaxedLoad { addr } | Op::RelaxedStore { addr } | Op::RelaxedRmw { addr },
-                ..
-            } => Some(granularity.key(*addr)),
+            TraceEvent::Op { op, .. } => match op.class() {
+                OpClass::Checked(addr, kind) if kind.is_relaxed() => Some(granularity.key(addr)),
+                _ => None,
+            },
             _ => None,
         })
         .collect();
@@ -447,7 +447,11 @@ fn run(spec: &FuzzSpec, mode: AnalysisMode, detector: DetectorKind, trace: &Trac
     let mut cfg = SimConfig::new(spec.cores.max(1) as usize, mode);
     cfg.scheduler = SchedulerConfig::jittered(spec.seed);
     cfg.detector_kind = detector;
-    Simulation::new(cfg).run_trace(trace)
+    let mut replay = Simulation::new(cfg).trace_replay();
+    for event in trace.events() {
+        replay.push(event);
+    }
+    replay.finish()
 }
 
 /// Rewrites every thread id in `trace` through `f` — events, parents,

@@ -6,15 +6,15 @@
 //! combination exercised.
 
 use ddrace_conform::generate;
-use ddrace_detector::{DetectorConfig, FastTrack, RaceDetector};
-use ddrace_native::{replay_events, ParallelReplayConfig, ParallelReplayDetector};
+use ddrace_detector::{replay, DetectorConfig, FastTrack, RaceDetector};
+use ddrace_native::{ParallelReplayConfig, ParallelReplayDetector};
 use ddrace_program::{PickStrategy, SchedulerConfig, Trace};
 use proptest::prelude::*;
 
 /// Serial-vs-parallel byte-identity on one trace at the given geometry.
 fn assert_parallel_matches_serial(trace: &Trace, shards: usize, workers: usize, label: &str) {
     let mut serial = FastTrack::new(DetectorConfig::default());
-    replay_events(&mut serial, trace.events());
+    replay(&mut serial, trace.events());
 
     let mut parallel = ParallelReplayDetector::new(ParallelReplayConfig {
         detector: DetectorConfig::default(),
@@ -80,7 +80,7 @@ proptest! {
         .expect("fuzz specs schedule to completion");
 
         let mut serial = FastTrack::new(DetectorConfig::default());
-        replay_events(&mut serial, trace.events());
+        replay(&mut serial, trace.events());
 
         let mut parallel = ParallelReplayDetector::new(ParallelReplayConfig {
             detector: DetectorConfig::default(),

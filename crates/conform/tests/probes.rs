@@ -8,9 +8,9 @@
 //! `Program` is intentionally not `Clone`, so every use regenerates the
 //! probe set — [`conformance_probes`] is a pure constructor.
 
-use ddrace_conform::{feed_trace, RefHb};
+use ddrace_conform::RefHb;
 use ddrace_core::{AnalysisMode, DetectorKind, SimConfig, Simulation};
-use ddrace_detector::{racy_keys, DetectorConfig, Djit, FastTrack, RaceDetector};
+use ddrace_detector::{racy_keys, replay, DetectorConfig, Djit, FastTrack, RaceDetector};
 use ddrace_program::{PickStrategy, Program, SchedulerConfig, Trace};
 use ddrace_workloads::racy::conformance_probes;
 
@@ -51,9 +51,9 @@ fn probes_agree_across_detectors_and_reference() {
             let mut ft = FastTrack::new(DetectorConfig::default());
             let mut dj = Djit::new(DetectorConfig::default());
             let mut reference = RefHb::new(DetectorConfig::default());
-            feed_trace(&trace, &mut ft);
-            feed_trace(&trace, &mut dj);
-            feed_trace(&trace, &mut reference);
+            replay(&mut ft, trace.events());
+            replay(&mut dj, trace.events());
+            replay(&mut reference, trace.events());
             assert_eq!(
                 racy_keys(ft.reports().reports()),
                 racy_keys(dj.reports().reports()),

@@ -29,7 +29,7 @@ use ddrace_cache::{AccessResult, CacheHierarchy, CoreId};
 use ddrace_detector::{Djit, FastTrack, LockSet, RaceDetector};
 use ddrace_pmu::SharingIndicator;
 use ddrace_program::{
-    AccessKind, Addr, AddressSpace, Event, ExecutionListener, Op, OpCounts, Program, ScheduleError,
+    AccessKind, Addr, Event, ExecutionListener, Op, OpClass, OpCounts, Program, ScheduleError,
     Scheduler, ThreadId, TraceEvent,
 };
 use ddrace_trace::TraceSink;
@@ -93,7 +93,7 @@ impl Simulation {
     /// record for each PMI the sharing indicator raises (demand modes).
     /// This is the simulator-side producer of the record/replay pipeline;
     /// the recorded trace replays to the identical racy-key set under
-    /// [`Simulation::run_trace_stream`].
+    /// [`Simulation::trace_replay`].
     ///
     /// # Errors
     ///
@@ -112,31 +112,13 @@ impl Simulation {
         Ok(state.into_result(schedule, self.config.mode.label()))
     }
 
-    /// Streams recorded events through the analysis pipeline without
-    /// materializing a full [`Trace`](ddrace_program::Trace) — the
-    /// consumer half of the record/replay pipeline, fed by
-    /// [`TraceReader`](ddrace_trace::TraceReader) decoding one frame at
-    /// a time. Emits the `ingest.events_replayed` telemetry counter.
-    ///
-    /// Scheduler-internal statistics that are not part of the event
-    /// stream (blocks, context switches, handoffs) are reported as zero.
-    pub fn run_trace_stream<I>(&self, events: I) -> RunResult
-    where
-        I: IntoIterator<Item = TraceEvent>,
-    {
-        let mut replay = self.trace_replay();
-        for event in events {
-            replay.push(&event);
-        }
-        replay.finish()
-    }
-
-    /// Starts a push-style trace replay: feed decoded events one at a
-    /// time with [`TraceReplay::push`] and collect the [`RunResult`] with
-    /// [`TraceReplay::finish`]. This is [`Simulation::run_trace_stream`]
-    /// inverted for callers that *produce* events (the zero-allocation
-    /// streaming decoder hands out `&TraceEvent` from reused buffers)
-    /// rather than iterate over owned ones.
+    /// Starts a push-style trace replay — the record-once / analyze-many
+    /// workflow: feed recorded events one at a time with
+    /// [`TraceReplay::push`] and collect the [`RunResult`] with
+    /// [`TraceReplay::finish`]. The interleaving is the trace's, byte for
+    /// byte, so one trace compares across any number of configurations.
+    /// Events go by reference, so the streaming decoder can hand out
+    /// `&TraceEvent` from reused buffers.
     pub fn trace_replay(&self) -> TraceReplay<'static> {
         TraceReplay::new(SimState::new(&self.config), self.config.mode.label())
     }
@@ -161,17 +143,6 @@ impl Simulation {
         let mut state = SimState::new(&self.config);
         state.detector = Some(Box::new(detector));
         TraceReplay::new(state, self.config.mode.label())
-    }
-
-    /// Analyzes a previously recorded [`Trace`](ddrace_program::Trace)
-    /// instead of scheduling a program — the record-once / analyze-many
-    /// workflow. The interleaving is the trace's, byte for byte, so the
-    /// same trace can be compared across any number of configurations.
-    ///
-    /// Scheduler-internal statistics that are not part of the event
-    /// stream (blocks, context switches, handoffs) are reported as zero.
-    pub fn run_trace(&self, trace: &ddrace_program::Trace) -> RunResult {
-        self.run_trace_stream(trace.events().iter().cloned())
     }
 }
 
@@ -490,8 +461,11 @@ impl<'s> SimState<'s> {
 
     fn handle_op(&mut self, tid: ThreadId, op: Op) {
         self.ops.record(&op);
-        match op {
-            Op::Compute { cycles } => {
+        match op.class() {
+            OpClass::Checked(addr, kind) => self.handle_data_access(tid, addr, kind),
+            OpClass::Sync(addr, kind) => self.handle_sync_access(tid, &op, addr, kind),
+            OpClass::ThreadMgmt => self.handle_thread_mgmt(tid, &op),
+            OpClass::Compute(cycles) => {
                 let core = self.core_of(tid);
                 let analysis_on = self.analysis_on(core);
                 let cost = if self.tool_attached {
@@ -501,65 +475,6 @@ impl<'s> SimState<'s> {
                 };
                 self.charge(core, cost, analysis_on);
             }
-            Op::Read { addr } => self.handle_data_access(tid, addr, AccessKind::Read),
-            Op::Write { addr } => self.handle_data_access(tid, addr, AccessKind::Write),
-            // Relaxed atomics are *checked* accesses: they reach the
-            // detector's memory-access path (and the demand controller)
-            // like plain loads and stores, just with their own kinds.
-            Op::RelaxedLoad { addr } => self.handle_data_access(tid, addr, AccessKind::RelaxedLoad),
-            Op::RelaxedStore { addr } => {
-                self.handle_data_access(tid, addr, AccessKind::RelaxedStore)
-            }
-            Op::RelaxedRmw { addr } => self.handle_data_access(tid, addr, AccessKind::RelaxedRmw),
-            Op::AtomicRmw { addr } => {
-                self.handle_sync_access(tid, &op, addr, AccessKind::AtomicRmw)
-            }
-            // Acquire/release halves: synchronization for the detector, a
-            // plain read/write of the atomic word for the cache model.
-            Op::AtomicLoad { addr } => self.handle_sync_access(tid, &op, addr, AccessKind::Read),
-            Op::AtomicStore { addr } => self.handle_sync_access(tid, &op, addr, AccessKind::Write),
-            Op::Lock { lock } => self.handle_sync_access(
-                tid,
-                &op,
-                AddressSpace::lock_addr(lock),
-                AccessKind::AtomicRmw,
-            ),
-            Op::Unlock { lock } => {
-                self.handle_sync_access(tid, &op, AddressSpace::lock_addr(lock), AccessKind::Write)
-            }
-            Op::Barrier { barrier, .. } => self.handle_sync_access(
-                tid,
-                &op,
-                AddressSpace::barrier_addr(barrier),
-                AccessKind::AtomicRmw,
-            ),
-            Op::Post { sem } => self.handle_sync_access(
-                tid,
-                &op,
-                AddressSpace::sem_addr(sem),
-                AccessKind::AtomicRmw,
-            ),
-            Op::WaitSem { sem } => self.handle_sync_access(
-                tid,
-                &op,
-                AddressSpace::sem_addr(sem),
-                AccessKind::AtomicRmw,
-            ),
-            // Condvar traffic hits the condvar's own cache line like a
-            // futex word: waits, wakes, and notifies all RMW it.
-            Op::CondWait { cond, .. } | Op::CondWake { cond, .. } => self.handle_sync_access(
-                tid,
-                &op,
-                AddressSpace::cond_addr(cond),
-                AccessKind::AtomicRmw,
-            ),
-            Op::NotifyOne { cond } | Op::NotifyAll { cond } => self.handle_sync_access(
-                tid,
-                &op,
-                AddressSpace::cond_addr(cond),
-                AccessKind::AtomicRmw,
-            ),
-            Op::Fork { .. } | Op::Join { .. } => self.handle_thread_mgmt(tid, &op),
         }
     }
 

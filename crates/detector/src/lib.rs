@@ -47,6 +47,7 @@ mod fasttrack;
 mod hb;
 mod lockset;
 mod render;
+mod replay;
 mod report;
 mod vc;
 
@@ -59,6 +60,7 @@ pub use fasttrack::{
 pub use hb::HbClocks;
 pub use lockset::LockSet;
 pub use render::{render_report, render_summary};
+pub use replay::{replay, replay_event};
 pub use report::{
     merge_seq_report_sets, merge_seq_report_sets_capped, racy_keys, RaceAccess, RaceKind,
     RaceReport, RaceReportSet, SeqReportSet,

@@ -202,39 +202,11 @@ impl ParallelReplayDetector {
         }
     }
 
-    /// Replays one recorded event, mapped exactly as the serial oracle
-    /// [`crate::replay_events`] maps it — the entry point for callers
-    /// that hold a decoded event stream rather than drive the
-    /// [`RaceDetector`] hooks themselves.
+    /// Replays one recorded event through [`ddrace_detector::replay_event`]
+    /// — the entry point for callers that hold a decoded event stream
+    /// rather than drive the [`RaceDetector`] hooks themselves.
     pub fn push_event(&mut self, event: &TraceEvent) {
-        match event {
-            TraceEvent::ThreadStarted { tid, parent } => self.on_thread_start(*tid, *parent),
-            TraceEvent::ThreadFinished { tid } => self.on_thread_finish(*tid),
-            TraceEvent::BarrierReleased {
-                barrier,
-                participants,
-            } => self.on_barrier_release(*barrier, participants),
-            TraceEvent::Op { tid, op } => match op {
-                Op::Read { addr } => {
-                    self.on_access(*tid, *addr, AccessKind::Read);
-                }
-                Op::Write { addr } => {
-                    self.on_access(*tid, *addr, AccessKind::Write);
-                }
-                // Relaxed atomics replay as checked accesses, exactly as
-                // the serial oracle maps them.
-                Op::RelaxedLoad { addr } => {
-                    self.on_access(*tid, *addr, AccessKind::RelaxedLoad);
-                }
-                Op::RelaxedStore { addr } => {
-                    self.on_access(*tid, *addr, AccessKind::RelaxedStore);
-                }
-                Op::RelaxedRmw { addr } => {
-                    self.on_access(*tid, *addr, AccessKind::RelaxedRmw);
-                }
-                other => self.on_sync(*tid, other),
-            },
-        }
+        ddrace_detector::replay_event(self, event);
     }
 
     /// Flushes the final partial chunk, joins the workers, and merges
@@ -438,7 +410,7 @@ fn run_worker(engine: &Engine, rx: &Receiver<Chunk>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay_events;
+    use ddrace_detector::replay;
     use ddrace_detector::FastTrack;
     use ddrace_program::{LockId, ProgramBuilder, SchedulerConfig, Trace};
 
@@ -513,7 +485,7 @@ mod tests {
         workers: usize,
     ) {
         let mut serial = FastTrack::new(detector);
-        replay_events(&mut serial, trace.events());
+        replay(&mut serial, trace.events());
         // A tiny chunk forces many flushes, so inter-chunk ordering is
         // actually exercised.
         let out = parallel_outcome(trace, detector, shards, workers, 64);
@@ -554,7 +526,7 @@ mod tests {
             ..DetectorConfig::default()
         };
         let mut serial = FastTrack::new(capped);
-        replay_events(&mut serial, trace.events());
+        replay(&mut serial, trace.events());
         assert_eq!(serial.reports().distinct(), 2, "workload must hit the cap");
         let out = parallel_outcome(&trace, capped, 64, 4, 64);
         assert_eq!(out.reports.reports(), serial.reports().reports());

@@ -447,7 +447,7 @@ fn real_threads_record_vs_live_and_shard_counts_agree() {
             let bytes = sink.0.lock().unwrap().clone();
             let (events, _hitm) = ddrace_trace::decode_events(bytes.as_slice()).unwrap();
             let mut offline = FastTrack::new(DetectorConfig::default());
-            ddrace_native::replay_events(&mut offline, &events);
+            ddrace_detector::replay(&mut offline, &events);
             assert_eq!(
                 racy_keys(offline.reports().reports()),
                 live_keys,

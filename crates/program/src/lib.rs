@@ -56,7 +56,7 @@ mod trace;
 pub use address::{AddressSpace, Region, DEFAULT_LINE_SIZE};
 pub use builder::{ProgramBuilder, ThreadCursor};
 pub use error::{BlockReason, ScheduleError};
-pub use op::{AccessKind, Addr, BarrierId, CondId, LockId, Op, SemId, ThreadId};
+pub use op::{AccessKind, Addr, BarrierId, CondId, LockId, Op, OpClass, SemId, ThreadId};
 pub use program::{OpStream, Program, StartMode};
 pub use rng::Prng;
 pub use runqueue::RunQueue;

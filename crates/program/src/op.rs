@@ -423,22 +423,75 @@ pub enum Op {
     },
 }
 
+/// The one per-op decision the whole pipeline rests on: what an [`Op`]
+/// means to the race detector and which cache line it touches.
+///
+/// Every consumer — the simulator, the offline replay driver
+/// (`ddrace_detector::replay`), the conformance oracles — dispatches on
+/// [`Op::class`] rather than matching `Op` variants itself, so the
+/// mapping cannot drift between them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OpClass {
+    /// A checked data access (plain or relaxed atomic): the detector's
+    /// shadow check sees it, and the cache sees it at the same address
+    /// with the same kind.
+    Checked(Addr, AccessKind),
+    /// A synchronization op: it only moves happens-before clocks. The
+    /// address and kind are its cache footprint — the lock, barrier,
+    /// semaphore or condvar word, or the atomic itself.
+    Sync(Addr, AccessKind),
+    /// Fork/join: happens-before edges with no memory traffic.
+    ThreadMgmt,
+    /// Pure computation of the given cycle count.
+    Compute(u32),
+}
+
 impl Op {
-    /// If this op is a checked (plain or relaxed-atomic, or RMW) memory
-    /// access, returns its address and kind.
+    /// Classifies this op; see [`OpClass`].
     ///
-    /// `AtomicLoad`/`AtomicStore` return `None`: like `Lock`/`Unlock` they
-    /// are pure synchronization from the detector's point of view (their
-    /// cache footprint is applied during simulator lowering).
-    pub fn memory_access(&self) -> Option<(Addr, AccessKind)> {
+    /// Acquire/release atomics are `Sync` with a plain read/write (or RMW)
+    /// footprint; relaxed atomics are `Checked` with their own kinds; every
+    /// other sync object is an RMW (`Unlock` a write) of its backing word.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ddrace_program::{AccessKind, Addr, AddressSpace, LockId, Op, OpClass};
+    /// let lock = LockId(3);
+    /// assert_eq!(
+    ///     Op::Lock { lock }.class(),
+    ///     OpClass::Sync(AddressSpace::lock_addr(lock), AccessKind::AtomicRmw)
+    /// );
+    /// assert_eq!(
+    ///     Op::Read { addr: Addr(8) }.class(),
+    ///     OpClass::Checked(Addr(8), AccessKind::Read)
+    /// );
+    /// ```
+    #[inline]
+    pub fn class(&self) -> OpClass {
+        use crate::AddressSpace as A;
+        use AccessKind as K;
         match *self {
-            Op::Read { addr } => Some((addr, AccessKind::Read)),
-            Op::Write { addr } => Some((addr, AccessKind::Write)),
-            Op::AtomicRmw { addr } => Some((addr, AccessKind::AtomicRmw)),
-            Op::RelaxedLoad { addr } => Some((addr, AccessKind::RelaxedLoad)),
-            Op::RelaxedStore { addr } => Some((addr, AccessKind::RelaxedStore)),
-            Op::RelaxedRmw { addr } => Some((addr, AccessKind::RelaxedRmw)),
-            _ => None,
+            Op::Read { addr } => OpClass::Checked(addr, K::Read),
+            Op::Write { addr } => OpClass::Checked(addr, K::Write),
+            Op::RelaxedLoad { addr } => OpClass::Checked(addr, K::RelaxedLoad),
+            Op::RelaxedStore { addr } => OpClass::Checked(addr, K::RelaxedStore),
+            Op::RelaxedRmw { addr } => OpClass::Checked(addr, K::RelaxedRmw),
+            Op::AtomicRmw { addr } => OpClass::Sync(addr, K::AtomicRmw),
+            Op::AtomicLoad { addr } => OpClass::Sync(addr, K::Read),
+            Op::AtomicStore { addr } => OpClass::Sync(addr, K::Write),
+            Op::Lock { lock } => OpClass::Sync(A::lock_addr(lock), K::AtomicRmw),
+            Op::Unlock { lock } => OpClass::Sync(A::lock_addr(lock), K::Write),
+            Op::Barrier { barrier, .. } => OpClass::Sync(A::barrier_addr(barrier), K::AtomicRmw),
+            Op::Post { sem } | Op::WaitSem { sem } => OpClass::Sync(A::sem_addr(sem), K::AtomicRmw),
+            // Condvar traffic hits the condvar's own line like a futex
+            // word: waits, wakes and notifies all RMW it.
+            Op::CondWait { cond, .. }
+            | Op::CondWake { cond, .. }
+            | Op::NotifyOne { cond }
+            | Op::NotifyAll { cond } => OpClass::Sync(A::cond_addr(cond), K::AtomicRmw),
+            Op::Fork { .. } | Op::Join { .. } => OpClass::ThreadMgmt,
+            Op::Compute { cycles } => OpClass::Compute(cycles),
         }
     }
 
@@ -447,15 +500,7 @@ impl Op {
     /// semaphores, condvars, and acquire/release atomics). Relaxed atomics
     /// are **not** sync: they are checked data accesses.
     pub fn is_sync(&self) -> bool {
-        !matches!(
-            self,
-            Op::Read { .. }
-                | Op::Write { .. }
-                | Op::RelaxedLoad { .. }
-                | Op::RelaxedStore { .. }
-                | Op::RelaxedRmw { .. }
-                | Op::Compute { .. }
-        )
+        matches!(self.class(), OpClass::Sync(..) | OpClass::ThreadMgmt)
     }
 
     /// Returns `true` for operations that may block the issuing thread.
@@ -577,71 +622,74 @@ mod tests {
     }
 
     #[test]
-    fn op_memory_access_extraction() {
-        assert_eq!(
-            Op::Read { addr: Addr(8) }.memory_access(),
-            Some((Addr(8), AccessKind::Read))
-        );
-        assert_eq!(
-            Op::Write { addr: Addr(8) }.memory_access(),
-            Some((Addr(8), AccessKind::Write))
-        );
-        assert_eq!(
-            Op::AtomicRmw { addr: Addr(8) }.memory_access(),
-            Some((Addr(8), AccessKind::AtomicRmw))
-        );
-        assert_eq!(
-            Op::RelaxedLoad { addr: Addr(8) }.memory_access(),
-            Some((Addr(8), AccessKind::RelaxedLoad))
-        );
-        assert_eq!(
-            Op::RelaxedStore { addr: Addr(8) }.memory_access(),
-            Some((Addr(8), AccessKind::RelaxedStore))
-        );
-        assert_eq!(
-            Op::RelaxedRmw { addr: Addr(8) }.memory_access(),
-            Some((Addr(8), AccessKind::RelaxedRmw))
-        );
-        assert_eq!(Op::AtomicLoad { addr: Addr(8) }.memory_access(), None);
-        assert_eq!(Op::AtomicStore { addr: Addr(8) }.memory_access(), None);
-        assert_eq!(Op::Lock { lock: LockId(0) }.memory_access(), None);
-        assert_eq!(Op::Compute { cycles: 5 }.memory_access(), None);
-    }
-
-    #[test]
-    fn op_sync_classification() {
-        assert!(!Op::Read { addr: Addr(0) }.is_sync());
-        assert!(!Op::Write { addr: Addr(0) }.is_sync());
-        assert!(!Op::Compute { cycles: 1 }.is_sync());
-        assert!(!Op::RelaxedLoad { addr: Addr(0) }.is_sync());
-        assert!(!Op::RelaxedStore { addr: Addr(0) }.is_sync());
-        assert!(!Op::RelaxedRmw { addr: Addr(0) }.is_sync());
-        assert!(Op::AtomicRmw { addr: Addr(0) }.is_sync());
-        assert!(Op::AtomicLoad { addr: Addr(0) }.is_sync());
-        assert!(Op::AtomicStore { addr: Addr(0) }.is_sync());
-        assert!(Op::CondWait {
-            cond: CondId(0),
-            lock: LockId(0)
+    fn op_class_table() {
+        use AccessKind as K;
+        let (a, l, c) = (Addr(8), LockId(2), CondId(3));
+        let lock_word = crate::AddressSpace::lock_addr(l);
+        let cond_word = crate::AddressSpace::cond_addr(c);
+        let table = [
+            (Op::Read { addr: a }, OpClass::Checked(a, K::Read)),
+            (Op::Write { addr: a }, OpClass::Checked(a, K::Write)),
+            (
+                Op::RelaxedLoad { addr: a },
+                OpClass::Checked(a, K::RelaxedLoad),
+            ),
+            (
+                Op::RelaxedStore { addr: a },
+                OpClass::Checked(a, K::RelaxedStore),
+            ),
+            (
+                Op::RelaxedRmw { addr: a },
+                OpClass::Checked(a, K::RelaxedRmw),
+            ),
+            (Op::AtomicRmw { addr: a }, OpClass::Sync(a, K::AtomicRmw)),
+            (Op::AtomicLoad { addr: a }, OpClass::Sync(a, K::Read)),
+            (Op::AtomicStore { addr: a }, OpClass::Sync(a, K::Write)),
+            (Op::Lock { lock: l }, OpClass::Sync(lock_word, K::AtomicRmw)),
+            (Op::Unlock { lock: l }, OpClass::Sync(lock_word, K::Write)),
+            (
+                Op::Barrier {
+                    barrier: BarrierId(4),
+                    participants: 2,
+                },
+                OpClass::Sync(
+                    crate::AddressSpace::barrier_addr(BarrierId(4)),
+                    K::AtomicRmw,
+                ),
+            ),
+            (
+                Op::Post { sem: SemId(5) },
+                OpClass::Sync(crate::AddressSpace::sem_addr(SemId(5)), K::AtomicRmw),
+            ),
+            (
+                Op::WaitSem { sem: SemId(5) },
+                OpClass::Sync(crate::AddressSpace::sem_addr(SemId(5)), K::AtomicRmw),
+            ),
+            (
+                Op::CondWait { cond: c, lock: l },
+                OpClass::Sync(cond_word, K::AtomicRmw),
+            ),
+            (
+                Op::CondWake { cond: c, lock: l },
+                OpClass::Sync(cond_word, K::AtomicRmw),
+            ),
+            (
+                Op::NotifyOne { cond: c },
+                OpClass::Sync(cond_word, K::AtomicRmw),
+            ),
+            (
+                Op::NotifyAll { cond: c },
+                OpClass::Sync(cond_word, K::AtomicRmw),
+            ),
+            (Op::Fork { child: ThreadId(1) }, OpClass::ThreadMgmt),
+            (Op::Join { child: ThreadId(1) }, OpClass::ThreadMgmt),
+            (Op::Compute { cycles: 5 }, OpClass::Compute(5)),
+        ];
+        for (op, class) in table {
+            assert_eq!(op.class(), class, "{op}");
+            let sync = matches!(class, OpClass::Sync(..) | OpClass::ThreadMgmt);
+            assert_eq!(op.is_sync(), sync, "{op}");
         }
-        .is_sync());
-        assert!(Op::CondWake {
-            cond: CondId(0),
-            lock: LockId(0)
-        }
-        .is_sync());
-        assert!(Op::NotifyOne { cond: CondId(0) }.is_sync());
-        assert!(Op::NotifyAll { cond: CondId(0) }.is_sync());
-        assert!(Op::Lock { lock: LockId(0) }.is_sync());
-        assert!(Op::Unlock { lock: LockId(0) }.is_sync());
-        assert!(Op::Barrier {
-            barrier: BarrierId(0),
-            participants: 2
-        }
-        .is_sync());
-        assert!(Op::Fork { child: ThreadId(1) }.is_sync());
-        assert!(Op::Join { child: ThreadId(1) }.is_sync());
-        assert!(Op::Post { sem: SemId(0) }.is_sync());
-        assert!(Op::WaitSem { sem: SemId(0) }.is_sync());
     }
 
     #[test]

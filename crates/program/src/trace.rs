@@ -287,14 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_serializes() {
-        let trace = sample_trace(1);
-        let json = ddrace_json::to_string(&trace).unwrap();
-        let back: Trace = ddrace_json::from_str(&json).unwrap();
-        assert_eq!(back, trace);
-    }
-
-    #[test]
     fn record_surfaces_schedule_errors() {
         let mut b = ProgramBuilder::new();
         let l = b.new_lock();
@@ -324,11 +316,3 @@ mod tests {
         assert_eq!(recorder.trace().thread_count(), 1);
     }
 }
-
-ddrace_json::json_enum!(TraceEvent {
-    ThreadStarted { tid, parent },
-    Op { tid, op },
-    BarrierReleased { barrier, participants },
-    ThreadFinished { tid },
-});
-ddrace_json::json_struct!(Trace { events });

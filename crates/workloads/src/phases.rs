@@ -407,7 +407,7 @@ impl OpStream for PlanStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddrace_program::AddressSpace;
+    use ddrace_program::{AddressSpace, OpClass};
 
     fn drain(mut s: PlanStream) -> Vec<Op> {
         let mut v = Vec::new();
@@ -621,7 +621,9 @@ mod tests {
             2,
         ));
         for op in ops {
-            let (addr, _) = op.memory_access().expect("only memory ops");
+            let OpClass::Checked(addr, _) = op.class() else {
+                panic!("only data accesses, got {op}");
+            };
             assert!(r.contains(addr));
         }
     }

@@ -6,9 +6,8 @@
 //!                [--seed 42] [--cores 8] [--detector fasttrack]
 //!                [--inject-race N] [--json]
 //! ddrace compare --bench kmeans [--scale small] [--seed 42] [--cores 8]
-//! ddrace record  --bench kmeans --out trace.json [--format json|binary]
-//!                [--scale test] [--seed 42]
-//! ddrace analyze --trace trace.json [--mode continuous] [--cores 8]
+//! ddrace record  --bench kmeans --out trace.ddrt [--scale test] [--seed 42]
+//! ddrace analyze --trace trace.ddrt [--mode continuous] [--cores 8]
 //! ddrace ingest  --traces a.ddrt,b.ddrt [--detectors fasttrack,djit]
 //!                [--modes continuous] [--cores 8] [--workers N]
 //!                [--replay-workers N] [--events FILE|-] [--resume FILE]
@@ -37,7 +36,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
+    let flags = match parse_flags(command, &args[1..]) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -86,10 +85,12 @@ USAGE:
     ddrace run     (--bench NAME | --spec FILE) [--mode MODE] [--scale SCALE]
                    [--seed N] [--cores N] [--detector KIND] [--inject-race N]
                    [--json] [--detail] [--timeline]
-    ddrace compare --bench NAME [--scale SCALE] [--seed N] [--cores N]
-    ddrace record  --bench NAME --out FILE [--format json|binary]
-                   [--scale SCALE] [--seed N]
+    ddrace compare (--bench NAME | --spec FILE) [--scale SCALE] [--seed N]
+                   [--cores N] [--inject-race N]
+    ddrace record  (--bench NAME | --spec FILE) --out FILE [--scale SCALE]
+                   [--seed N] [--inject-race N]
     ddrace analyze --trace FILE [--mode MODE] [--cores N] [--detector KIND]
+                   [--json] [--detail] [--timeline]
     ddrace ingest  --traces FILE[,FILE,...] [--detectors KIND,KIND,...]
                    [--modes MODE,MODE,...] [--cores N] [--workers N]
                    [--replay-workers N] [--events FILE|-] [--resume FILE]
@@ -122,15 +123,18 @@ FUZZ:       generates --count program specs from --seed and checks every
             reference-detector bug (drop-write-write | ignore-unlock) to
             demonstrate the oracles catch it; the default is none.
 
+TRACES:     `record` writes one DDRT binary trace (the only trace
+            format); `analyze` replays one, `ingest` a corpus.
+
 INGEST:     runs detection as an offline service over traces recorded
-            with `ddrace record --format binary` (or by the native
-            monitor): every trace × mode × detector cell replays on the
-            worker pool and folds into the same byte-deterministic
-            aggregate as `campaign`. Foreign, corrupt, or truncated
-            traces are refused up front with the failing byte offset
-            (exit code 2). --replay-workers N fans each continuous-mode
-            FastTrack replay across N detection threads (0 = serial, the
-            default); results are byte-identical at any worker count.
+            with `ddrace record` (or by the native monitor): every trace ×
+            mode × detector cell replays on the worker pool and folds
+            into the same byte-deterministic aggregate as `campaign`.
+            Foreign, corrupt, or truncated traces are refused up front
+            with the failing byte offset (exit code 2). --replay-workers
+            N fans each continuous-mode FastTrack replay across N
+            detection threads (0 = serial, the default); results are
+            byte-identical at any worker count.
 
 RESUME:     --resume takes a prior run's --events JSONL stream; finished
             jobs are restored from it (validated by spec fingerprint) and
@@ -152,13 +156,36 @@ SCALES:     test | small | large
 DETECTORS:  fasttrack | djit | lockset
 BENCHES:    see `ddrace list`";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags `command`'s USAGE line lists, space-separated; any other
+/// flag is refused.
+fn known_flags(command: &str) -> &'static str {
+    match command {
+        "run" => "bench spec mode scale seed cores detector inject-race json detail timeline",
+        "compare" => "bench spec scale seed cores inject-race",
+        "record" => "bench spec out scale seed inject-race",
+        "analyze" => "trace mode cores detector json detail timeline",
+        "ingest" => "traces detectors modes cores workers replay-workers events resume out quiet",
+        "campaign" => {
+            "suite modes workers scale seed seeds cores cores-sweep variants detector \
+             timeout-secs events resume out quiet"
+        }
+        "fuzz" => "seed count workers fault events resume out repro-dir quiet replay",
+        "native-probe" => "json",
+        _ => "",
+    }
+}
+
+fn parse_flags(command: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let known = known_flags(command);
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a --flag, found `{}`", args[i]))?;
+        if !known.split_whitespace().any(|k| k == key) {
+            return Err(format!("unknown flag --{key} for `ddrace {command}`"));
+        }
         if key == "json" || key == "detail" || key == "timeline" || key == "quiet" {
             flags.insert(key.to_string(), "true".to_string());
             i += 1;
@@ -171,6 +198,35 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         i += 2;
     }
     Ok(flags)
+}
+
+/// Parses the numeric flag `--key`, if given.
+fn num_flag<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(key)
+        .map(|s| s.parse().map_err(|_| format!("--{key} takes a number")))
+        .transpose()
+}
+
+/// Parses `--cores` (default 8): the simulated machine has 1 to 64 cores.
+fn cores_flag(flags: &HashMap<String, String>) -> Result<usize, String> {
+    let cores = num_flag(flags, "cores")?.unwrap_or(8);
+    if !(1..=64).contains(&cores) {
+        return Err(format!("--cores must be in 1..=64, got {cores}"));
+    }
+    Ok(cores)
+}
+
+/// The worker-pool size: `--workers`, else the host's parallelism.
+fn workers_flag(flags: &HashMap<String, String>) -> Result<usize, String> {
+    Ok(num_flag(flags, "workers")?.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    }))
 }
 
 fn parse_mode(s: &str) -> Result<AnalysisMode, String> {
@@ -311,27 +367,27 @@ fn parse_common(flags: &HashMap<String, String>) -> Result<Common, String> {
         ddrace::workloads::by_name(name)
             .ok_or_else(|| format!("unknown benchmark `{name}` (try `ddrace list`)"))?
     };
-    if let Some(n) = flags.get("inject-race") {
-        let pairs: u64 = n.parse().map_err(|_| "--inject-race takes a number")?;
+    if let Some(pairs) = num_flag(flags, "inject-race")? {
         spec = spec.with_injected_race(pairs);
     }
-    let scale = parse_scale(flags.get("scale").map(String::as_str).unwrap_or("small"))?;
-    let seed = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "--seed takes a number"))
-        .transpose()?
-        .unwrap_or(42);
-    let cores = flags
-        .get("cores")
-        .map(|s| s.parse().map_err(|_| "--cores takes a number"))
-        .transpose()?
-        .unwrap_or(8);
     Ok(Common {
         spec,
-        scale,
-        seed,
-        cores,
+        scale: parse_scale(flags.get("scale").map(String::as_str).unwrap_or("small"))?,
+        seed: num_flag(flags, "seed")?.unwrap_or(42),
+        cores: cores_flag(flags)?,
     })
+}
+
+/// The CLI's simulator configuration: `mode` on `cores` under the
+/// jittered quantum-32 scheduler seeded with `seed`.
+fn cli_config(cores: usize, mode: AnalysisMode, seed: u64) -> SimConfig {
+    let mut cfg = SimConfig::new(cores, mode);
+    cfg.scheduler = SchedulerConfig {
+        quantum: 32,
+        seed,
+        jitter: true,
+    };
+    cfg
 }
 
 fn sim_config(
@@ -345,12 +401,7 @@ fn sim_config(
             .map(String::as_str)
             .unwrap_or("demand-hitm"),
     )?;
-    let mut cfg = SimConfig::new(cores, mode);
-    cfg.scheduler = SchedulerConfig {
-        quantum: 32,
-        seed,
-        jitter: true,
-    };
+    let mut cfg = cli_config(cores, mode, seed);
     if let Some(d) = flags.get("detector") {
         cfg.detector_kind = parse_detector(d)?;
     }
@@ -476,13 +527,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     let common = parse_common(flags)?;
     let run = |mode| -> Result<RunResult, String> {
-        let mut cfg = SimConfig::new(common.cores, mode);
-        cfg.scheduler = SchedulerConfig {
-            quantum: 32,
-            seed: common.seed,
-            jitter: true,
-        };
-        Simulation::new(cfg)
+        Simulation::new(cli_config(common.cores, mode, common.seed))
             .run(common.spec.program(common.scale, common.seed))
             .map_err(|e| e.to_string())
     };
@@ -514,41 +559,20 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_record(flags: &HashMap<String, String>) -> Result<(), String> {
     let common = parse_common(flags)?;
     let out = flags.get("out").ok_or("--out FILE is required")?;
-    let scheduler = SchedulerConfig {
-        quantum: 32,
-        seed: common.seed,
-        jitter: true,
-    };
-    let trace =
-        ddrace::program::Trace::record(common.spec.program(common.scale, common.seed), scheduler)
-            .map_err(|e| e.to_string())?;
-    match flags.get("format").map(String::as_str).unwrap_or("json") {
-        "json" => {
-            let json = ddrace::json::to_string(&trace).map_err(|e| e.to_string())?;
-            std::fs::write(out, json).map_err(|e| e.to_string())?;
-        }
-        "binary" => {
-            let file = std::fs::File::create(out).map_err(|e| format!("--out {out}: {e}"))?;
-            let mut writer = TraceWriter::new(std::io::BufWriter::new(file))
-                .map_err(|e| format!("--out {out}: {e}"))?;
-            for event in trace.events() {
-                writer.record_event(event);
-            }
-            writer
-                .finish()
-                .and_then(|mut w| std::io::Write::flush(&mut w))
-                .map_err(|e| format!("--out {out}: {e}"))?;
-        }
-        other => {
-            return Err(format!(
-                "unknown format `{other}` (expected json or binary)"
-            ))
-        }
-    }
+    let io_error = |e: std::io::Error| format!("--out {out}: {e}");
+    let file = std::fs::File::create(out).map_err(io_error)?;
+    let mut writer = TraceWriter::new(std::io::BufWriter::new(file)).map_err(io_error)?;
+    // Native mode: no indicator, so the trace holds exactly the schedule.
+    let cfg = cli_config(common.cores, AnalysisMode::Native, common.seed);
+    let result = Simulation::new(cfg)
+        .run_recorded(common.spec.program(common.scale, common.seed), &mut writer)
+        .map_err(|e| e.to_string())?;
+    writer.finish().map_err(io_error)?;
+    let schedule = &result.schedule;
     println!(
         "recorded {} ops across {} threads to {out}",
-        trace.op_count(),
-        trace.thread_count()
+        schedule.ops_executed,
+        schedule.per_thread_ops.len() - schedule.orphan_threads as usize
     );
     Ok(())
 }
@@ -575,11 +599,7 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(parse_mode)
         .collect::<Result<Vec<_>, _>>()?;
     let scale = parse_scale(flags.get("scale").map(String::as_str).unwrap_or("small"))?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "--seed takes a number"))
-        .transpose()?
-        .unwrap_or(42);
+    let seed: u64 = num_flag(flags, "seed")?.unwrap_or(42);
     let seeds: Vec<u64> = match flags.get("seeds") {
         Some(list) => {
             if flags.contains_key("seed") {
@@ -597,20 +617,8 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         None => vec![seed],
     };
-    let cores: usize = flags
-        .get("cores")
-        .map(|s| s.parse().map_err(|_| "--cores takes a number"))
-        .transpose()?
-        .unwrap_or(8);
-    let workers: usize = flags
-        .get("workers")
-        .map(|s| s.parse().map_err(|_| "--workers takes a number"))
-        .transpose()?
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
+    let cores: usize = cores_flag(flags)?;
+    let workers: usize = workers_flag(flags)?;
 
     let variants: Option<Vec<JobVariant>> = match (flags.get("variants"), flags.get("cores-sweep"))
     {
@@ -634,8 +642,7 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(d) = flags.get("detector") {
         builder = builder.detector_kind(parse_detector(d)?);
     }
-    if let Some(t) = flags.get("timeout-secs") {
-        let secs: u64 = t.parse().map_err(|_| "--timeout-secs takes a number")?;
+    if let Some(secs) = num_flag(flags, "timeout-secs")? {
         builder = builder.timeout(std::time::Duration::from_secs(secs));
     }
     let campaign = builder.build();
@@ -694,25 +701,9 @@ fn cmd_fuzz(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(path) = flags.get("replay") {
         return cmd_fuzz_replay(path);
     }
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "--seed takes a number"))
-        .transpose()?
-        .unwrap_or(1);
-    let count: usize = flags
-        .get("count")
-        .map(|s| s.parse().map_err(|_| "--count takes a number"))
-        .transpose()?
-        .unwrap_or(200);
-    let workers: usize = flags
-        .get("workers")
-        .map(|s| s.parse().map_err(|_| "--workers takes a number"))
-        .transpose()?
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
+    let seed: u64 = num_flag(flags, "seed")?.unwrap_or(1);
+    let count: usize = num_flag(flags, "count")?.unwrap_or(200);
+    let workers: usize = workers_flag(flags)?;
     let fault = ddrace::Fault::parse(flags.get("fault").map(String::as_str).unwrap_or("none"))?;
     let cfg = ddrace::FuzzConfig {
         seed,
@@ -828,31 +819,15 @@ fn cmd_fuzz_replay(path: &str) -> Result<(), String> {
 
 fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = flags.get("trace").ok_or("--trace FILE is required")?;
-    let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-    let cores = flags
-        .get("cores")
-        .map(|s| s.parse().map_err(|_| "--cores takes a number"))
-        .transpose()?
-        .unwrap_or(8);
-    let cfg = sim_config(flags, cores, 0)?;
-    // Binary traces announce themselves by magic; anything else is
-    // treated as the JSON format `ddrace record` wrote historically.
-    let result = if bytes.starts_with(&ddrace::trace::MAGIC) {
-        // Streamed: events go to the detector as they decode, so peak
-        // memory is one codec frame rather than the materialized list.
-        let sim = Simulation::new(cfg);
-        let mut replay = sim.trace_replay();
-        ddrace::trace::decode_events_into(bytes.as_slice(), |event| replay.push(event))
-            .unwrap_or_else(|e| refuse_trace(path, &e));
-        replay.finish()
-    } else {
-        let json = String::from_utf8(bytes).map_err(|e| e.to_string())?;
-        let trace: ddrace::program::Trace =
-            ddrace::json::from_str(&json).map_err(|e| e.to_string())?;
-        Simulation::new(cfg).run_trace(&trace)
-    };
+    let cfg = sim_config(flags, cores_flag(flags)?, 0)?;
+    let file = std::fs::File::open(path).map_err(|e| format!("--trace {path}: {e}"))?;
+    // Streamed: events go to the detector as they decode, so peak memory
+    // is one codec frame rather than the materialized list.
+    let mut replay = Simulation::new(cfg).trace_replay();
+    ddrace::trace::decode_events_into(std::io::BufReader::new(file), |event| replay.push(event))
+        .unwrap_or_else(|e| refuse_trace(path, &e));
     print_result(
-        &result,
+        &replay.finish(),
         flags.contains_key("json"),
         flags.contains_key("detail"),
         flags.contains_key("timeline"),
@@ -889,25 +864,9 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
         .split(',')
         .map(parse_detector)
         .collect::<Result<Vec<_>, _>>()?;
-    let cores: usize = flags
-        .get("cores")
-        .map(|s| s.parse().map_err(|_| "--cores takes a number"))
-        .transpose()?
-        .unwrap_or(8);
-    let workers: usize = flags
-        .get("workers")
-        .map(|s| s.parse().map_err(|_| "--workers takes a number"))
-        .transpose()?
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
-    let replay_workers: usize = flags
-        .get("replay-workers")
-        .map(|s| s.parse().map_err(|_| "--replay-workers takes a number"))
-        .transpose()?
-        .unwrap_or(0);
+    let cores: usize = cores_flag(flags)?;
+    let workers: usize = workers_flag(flags)?;
+    let replay_workers: usize = num_flag(flags, "replay-workers")?.unwrap_or(0);
 
     let mut builder = Campaign::builder("ingest")
         .trace_corpus(sources)

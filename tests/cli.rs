@@ -103,43 +103,6 @@ fn compare_prints_all_modes() {
 }
 
 #[test]
-fn record_then_analyze_roundtrip() {
-    let dir = std::env::temp_dir().join(format!("ddrace-cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let trace_path = dir.join("trace.json");
-
-    let out = stdout_of({
-        let mut c = ddrace();
-        c.args([
-            "record",
-            "--bench",
-            "sparse_race",
-            "--scale",
-            "test",
-            "--out",
-            trace_path.to_str().unwrap(),
-        ]);
-        c
-    });
-    assert!(out.contains("recorded"));
-
-    let out = stdout_of({
-        let mut c = ddrace();
-        c.args([
-            "analyze",
-            "--trace",
-            trace_path.to_str().unwrap(),
-            "--mode",
-            "continuous",
-        ]);
-        c
-    });
-    assert!(out.contains("races (distinct)"));
-    assert!(!out.contains("races (distinct):   0"), "{out}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn binary_record_analyze_ingest_pipeline() {
     let dir = std::env::temp_dir().join(format!("ddrace-cli-ingest-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -152,8 +115,6 @@ fn binary_record_analyze_ingest_pipeline() {
             "sparse_race",
             "--scale",
             "test",
-            "--format",
-            "binary",
             "--out",
             trace.to_str().unwrap(),
         ]);
@@ -162,7 +123,7 @@ fn binary_record_analyze_ingest_pipeline() {
     assert!(out.contains("recorded"));
     assert_eq!(&std::fs::read(&trace).unwrap()[..4], b"DDRT");
 
-    // `analyze` auto-detects the binary format by magic.
+    // `analyze` finds the race the recorded schedule contains.
     let out = stdout_of({
         let mut c = ddrace();
         c.args([
@@ -218,8 +179,6 @@ fn corrupt_traces_are_refused_with_exit_2() {
             "sparse_race",
             "--scale",
             "test",
-            "--format",
-            "binary",
             "--out",
             trace.to_str().unwrap(),
         ]);
@@ -338,4 +297,78 @@ fn inject_race_flag_plants_races() {
         c
     });
     assert!(!out.contains("races (distinct):   0"), "{out}");
+}
+
+/// Runs `ddrace args…` and returns its exit code and standard error.
+fn failure_of(args: &[&str]) -> (Option<i32>, String) {
+    let out = ddrace().args(args).output().unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn json_traces_are_refused_with_exit_2() {
+    // DDRT is the only trace format: a JSON file fails the magic check.
+    let dir = std::env::temp_dir().join(format!("ddrace-cli-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = dir.join("trace.json");
+    std::fs::write(&json, br#"{"events":[]}"#).unwrap();
+    let (code, stderr) = failure_of(&["analyze", "--trace", json.to_str().unwrap()]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("byte offset 0"), "{stderr}");
+    assert!(stderr.contains("refusing to ingest"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn out_of_range_cores_are_refused_not_panicked() {
+    for cores in ["0", "65"] {
+        let cases: [&[&str]; 2] = [
+            &[
+                "run", "--bench", "kmeans", "--scale", "test", "--cores", cores,
+            ],
+            &["analyze", "--trace", "unused.ddrt", "--cores", cores],
+        ];
+        for args in cases {
+            let (code, stderr) = failure_of(args);
+            assert_eq!(code, Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains("--cores must be in 1..=64"), "{stderr}");
+            assert!(!stderr.contains("panicked"), "{stderr}");
+        }
+    }
+}
+
+#[test]
+fn unknown_flags_are_refused() {
+    // DDRT is the only trace format, so `--format json` is refused rather
+    // than silently writing DDRT; a typo'd flag is refused the same way.
+    for (args, flag, command) in [
+        (
+            ["record", "--bench", "kmeans", "--format", "json"],
+            "--format",
+            "record",
+        ),
+        (
+            ["run", "--bench", "kmeans", "--scael", "test"],
+            "--scael",
+            "run",
+        ),
+    ] {
+        let (code, stderr) = failure_of(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        let want = format!("unknown flag {flag} for `ddrace {command}`");
+        assert!(stderr.contains(&want), "{stderr}");
+    }
+}
+
+#[test]
+fn analyze_names_the_trace_on_io_errors() {
+    let (code, stderr) = failure_of(&["analyze", "--trace", "/nonexistent/trace.ddrt"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: --trace /nonexistent/trace.ddrt: "),
+        "{stderr}"
+    );
 }

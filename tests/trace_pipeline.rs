@@ -1,6 +1,8 @@
 //! End-to-end pins on the record → ingest pipeline: the binary format's
-//! exact bytes (golden file), and byte-identical `ddrace ingest`
-//! aggregates across a kill-then-resume at any worker count.
+//! exact bytes (golden file), `ddrace record` writing exactly what a
+//! `TraceWriter` fed the recorded schedule writes, and byte-identical
+//! `ddrace ingest` aggregates across a kill-then-resume at any worker
+//! count.
 
 use ddrace::{SchedulerConfig, TraceWriter};
 use std::path::PathBuf;
@@ -55,6 +57,48 @@ fn recorded_trace_bytes_match_golden() {
 }
 
 #[test]
+fn cli_record_matches_trace_writer() {
+    let dir = std::env::temp_dir().join(format!("ddrace-record-bytes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (bench, seed) in [
+        ("sparse_race", 42),
+        ("string_match", 1),
+        ("channel_condvar", 42),
+    ] {
+        let out = dir.join(format!("{bench}.ddrt"));
+        let run = ddrace()
+            .args(["record", "--bench", bench, "--scale", "test", "--seed"])
+            .arg(seed.to_string())
+            .arg("--out")
+            .arg(&out)
+            .output()
+            .unwrap();
+        assert!(run.status.success(), "{bench}");
+
+        // The CLI's scheduler config: quantum 32, jittered, seeded.
+        let program = ddrace::workloads::by_name(bench)
+            .unwrap()
+            .program(ddrace::Scale::TEST, seed);
+        let scheduler = SchedulerConfig {
+            quantum: 32,
+            seed,
+            jitter: true,
+        };
+        let trace = ddrace::program::Trace::record(program, scheduler).unwrap();
+        let mut writer = TraceWriter::new(Vec::new()).unwrap();
+        for event in trace.events() {
+            writer.record_event(event);
+        }
+        let want = writer.finish().unwrap();
+        assert!(
+            std::fs::read(&out).unwrap() == want,
+            "{bench}: `ddrace record` bytes differ from the recorded schedule"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn ingest_resume_is_byte_identical() {
     let dir = std::env::temp_dir().join(format!(
         "ddrace-ingest-resume-{}-{}",
@@ -71,8 +115,6 @@ fn ingest_resume_is_byte_identical() {
                 bench,
                 "--scale",
                 "test",
-                "--format",
-                "binary",
                 "--out",
                 out.to_str().unwrap(),
             ])

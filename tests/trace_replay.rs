@@ -1,6 +1,6 @@
 //! Cross-crate integration: record-once / analyze-many via traces.
 
-use ddrace::{phoenix, racy, AnalysisMode, Scale, SchedulerConfig, SimConfig, Simulation};
+use ddrace::{racy, AnalysisMode, RunResult, Scale, SchedulerConfig, SimConfig, Simulation};
 use ddrace_program::Trace;
 
 fn config(mode: AnalysisMode) -> SimConfig {
@@ -13,6 +13,15 @@ fn config(mode: AnalysisMode) -> SimConfig {
     cfg
 }
 
+/// Replays `trace` under `mode` through the push-style trace replay.
+fn replay(mode: AnalysisMode, trace: &Trace) -> RunResult {
+    let mut replay = Simulation::new(config(mode)).trace_replay();
+    for event in trace.events() {
+        replay.push(event);
+    }
+    replay.finish()
+}
+
 #[test]
 fn replayed_analysis_matches_direct_run() {
     let spec = racy::unprotected_counter();
@@ -22,7 +31,7 @@ fn replayed_analysis_matches_direct_run() {
     let direct = Simulation::new(config(AnalysisMode::Continuous))
         .run(spec.program(Scale::TEST, 5))
         .unwrap();
-    let replayed = Simulation::new(config(AnalysisMode::Continuous)).run_trace(&trace);
+    let replayed = replay(AnalysisMode::Continuous, &trace);
 
     // The trace carries the same interleaving the direct run used (same
     // seed), so analysis results are identical.
@@ -39,9 +48,9 @@ fn one_trace_many_configurations() {
     let scheduler = config(AnalysisMode::Native).scheduler;
     let trace = Trace::record(spec.program(Scale::TEST, 9), scheduler).unwrap();
 
-    let native = Simulation::new(config(AnalysisMode::Native)).run_trace(&trace);
-    let cont = Simulation::new(config(AnalysisMode::Continuous)).run_trace(&trace);
-    let demand = Simulation::new(config(AnalysisMode::demand_hitm())).run_trace(&trace);
+    let native = replay(AnalysisMode::Native, &trace);
+    let cont = replay(AnalysisMode::Continuous, &trace);
+    let demand = replay(AnalysisMode::demand_hitm(), &trace);
 
     assert_eq!(native.races.distinct, 0);
     assert!(cont.races.distinct > 0);
@@ -50,19 +59,4 @@ fn one_trace_many_configurations() {
                                                                 // Identical traffic in all three analyses.
     assert_eq!(native.accesses_total, cont.accesses_total);
     assert_eq!(cont.accesses_total, demand.accesses_total);
-}
-
-#[test]
-fn trace_json_roundtrip() {
-    let spec = phoenix::string_match();
-    let scheduler = config(AnalysisMode::Native).scheduler;
-    let trace = Trace::record(spec.program(Scale::TEST, 2), scheduler).unwrap();
-    let json = ddrace::json::to_string(&trace).unwrap();
-    let back: Trace = ddrace::json::from_str(&json).unwrap();
-    assert_eq!(back, trace);
-    // And the deserialized trace analyzes identically.
-    let a = Simulation::new(config(AnalysisMode::Continuous)).run_trace(&trace);
-    let b = Simulation::new(config(AnalysisMode::Continuous)).run_trace(&back);
-    assert_eq!(a.makespan, b.makespan);
-    assert_eq!(a.races.distinct, b.races.distinct);
 }
