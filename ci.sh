@@ -135,6 +135,8 @@ echo "==> native recorder stress at DDRACE_NATIVE_THREADS=1"
 DDRACE_NATIVE_THREADS=1 cargo test -q -p ddrace-native --test recorder_stress
 echo "==> native recorder stress at DDRACE_NATIVE_THREADS=8"
 DDRACE_NATIVE_THREADS=8 cargo test -q -p ddrace-native --test recorder_stress
+echo "==> native recorder stress at DDRACE_NATIVE_THREADS=64"
+DDRACE_NATIVE_THREADS=64 cargo test -q -p ddrace-native --test recorder_stress
 
 # Parallel offline replay must be byte-identical to serial replay — same
 # reports, same order, same stats, same aggregate — at both ends of the

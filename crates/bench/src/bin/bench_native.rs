@@ -15,12 +15,13 @@
 //!   threads in parallel.
 //! * **capacity** — the serialization ceiling implied by the lock
 //!   structure: the measured single-thread critical-section rate divided
-//!   by the *exact* maximum shard-load fraction of the address stream
-//!   (computed by replaying the stream through [`shard_of`]). With one
-//!   shard the fraction is 1.0 and the ceiling is the single-thread
-//!   rate; with 64 shards a balanced stream admits up to 64 concurrent
-//!   critical sections. This is the quantity the sharding refactor
-//!   changes, and it is host-parallelism-independent.
+//!   by the maximum shard-load fraction the 64-thread cell actually
+//!   produced ([`Monitor::shard_loads`] after the run). With one shard
+//!   the fraction is 1.0 and the ceiling is the single-thread rate; with
+//!   64 shards a balanced stream admits up to 64 concurrent critical
+//!   sections. The monitor routes by 4 KiB page, so the stream's one
+//!   shared-read page (1/16 of all events) has a single home shard and
+//!   bounds the ceiling. The figure is host-parallelism-independent.
 //!
 //! The summary's `basis` field records which view the headline
 //! `sharded_vs_unsharded_64t` ratio uses: `"wall"` when the host offers
@@ -38,7 +39,6 @@
 use ddrace_json::Value;
 use ddrace_native::{Monitor, MonitorConfig};
 use ddrace_program::Addr;
-use ddrace_shadow::shard_of;
 use std::time::Instant;
 
 /// Thread counts exercised by the matrix.
@@ -52,6 +52,9 @@ struct Run {
     variant: &'static str,
     median_ns: u64,
     events: u64,
+    /// Checked accesses per shard (empty unless enabled); the stream is
+    /// deterministic, so every sample yields the same loads.
+    shard_loads: Vec<u64>,
 }
 
 impl Run {
@@ -132,8 +135,9 @@ fn event(w: usize, i: u64) -> (Addr, bool) {
 }
 
 /// Runs one sample of the matrix cell: `threads` workers, `per_thread`
-/// events each, through `mode`'s hook. Returns elapsed nanoseconds.
-fn sample(threads: usize, per_thread: u64, mode: Mode) -> u64 {
+/// events each, through `mode`'s hook. Returns elapsed nanoseconds and,
+/// when enabled, the monitor's per-shard loads.
+fn sample(threads: usize, per_thread: u64, mode: Mode) -> (u64, Vec<u64>) {
     let monitor = match mode {
         Mode::Uninstrumented => None,
         Mode::Disabled => Some(Monitor::new()),
@@ -174,6 +178,7 @@ fn sample(threads: usize, per_thread: u64, mode: Mode) -> u64 {
     });
     let elapsed = start.elapsed().as_nanos() as u64;
 
+    let mut loads = Vec::new();
     if let Some((m, root)) = &monitor {
         for token in tokens {
             m.join(*root, token);
@@ -186,17 +191,23 @@ fn sample(threads: usize, per_thread: u64, mode: Mode) -> u64 {
             let checked = m.stats().accesses_checked;
             let issued = threads as u64 * per_thread;
             assert_eq!(checked, issued, "every issued event must be checked");
+            loads = m.shard_loads();
         }
     }
-    elapsed.max(1)
+    (elapsed.max(1), loads)
 }
 
 /// Median-of-samples measurement for one matrix cell.
 fn measure_cell(threads: usize, total_events: u64, samples: usize, mode: Mode) -> Run {
     let per_thread = (total_events / threads as u64).max(1);
     let events = per_thread * threads as u64;
+    let mut shard_loads = Vec::new();
     let mut times: Vec<u64> = (0..samples)
-        .map(|_| sample(threads, per_thread, mode))
+        .map(|_| {
+            let (ns, loads) = sample(threads, per_thread, mode);
+            shard_loads = loads;
+            ns
+        })
         .collect();
     times.sort_unstable();
     Run {
@@ -204,22 +215,15 @@ fn measure_cell(threads: usize, total_events: u64, samples: usize, mode: Mode) -
         variant: mode.variant(),
         median_ns: times[times.len() / 2],
         events,
+        shard_loads,
     }
 }
 
-/// Exact maximum shard-load fraction of the address stream: replays the
-/// same generated stream every run uses and counts events per shard.
-fn max_shard_load_fraction(threads: usize, per_thread: u64, shards: usize) -> f64 {
-    let gran = MonitorConfig::default().detector.granularity;
-    let mut loads = vec![0u64; shards];
-    for w in 0..threads {
-        for i in 0..per_thread {
-            let (addr, _) = event(w, i);
-            loads[shard_of(gran.key(addr), shards)] += 1;
-        }
-    }
-    let max = loads.iter().copied().max().unwrap_or(0);
-    max as f64 / (threads as u64 * per_thread).max(1) as f64
+/// Maximum shard-load fraction a run measured: the busiest shard's
+/// share of all checked accesses.
+fn max_shard_load_fraction(run: &Run) -> f64 {
+    let max = run.shard_loads.iter().copied().max().unwrap_or(0);
+    max as f64 / run.shard_loads.iter().sum::<u64>().max(1) as f64
 }
 
 fn measurement_json(r: &Run) -> Value {
@@ -263,18 +267,18 @@ fn main() {
         }
     }
 
-    let rate = |threads: usize, variant: &str| -> f64 {
+    let cell = |threads: usize, variant: &str| -> &Run {
         runs.iter()
             .find(|r| r.threads == threads && r.variant == variant)
             .expect("matrix cell present")
-            .events_per_s()
     };
+    let rate = |threads: usize, variant: &str| -> f64 { cell(threads, variant).events_per_s() };
 
     // Serialization-capacity ceilings at 64 threads: single-thread
-    // critical-section rate ÷ exact max shard-load fraction.
-    let per_thread_64 = (total_events / 64).max(1);
-    let frac_1 = max_shard_load_fraction(64, per_thread_64, 1);
-    let frac_64 = max_shard_load_fraction(64, per_thread_64, SHARDED);
+    // critical-section rate ÷ the 64-thread cell's measured max
+    // shard-load fraction.
+    let frac_1 = max_shard_load_fraction(cell(64, "enabled_shards_1"));
+    let frac_64 = max_shard_load_fraction(cell(64, "enabled_shards_64"));
     let cap_1 = rate(1, "enabled_shards_1") / frac_1;
     let cap_64 = rate(1, "enabled_shards_64") / frac_64;
     assert!(

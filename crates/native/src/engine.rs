@@ -11,10 +11,18 @@
 //!   token (fork and join are the *parent's* calls), so a copy refreshed
 //!   at the thread's own sync points is exact between sync points — the
 //!   data path reads it without the sync lock.
-//! * **Address-sharded shadow state.** The `u64 → FtVarState` shadow map
-//!   becomes `N` [`ShadowTable`] shards behind per-shard mutexes, routed
-//!   by [`shard_of`]. Accesses to different shards never contend; the
-//!   FastTrack check itself is the exact production code
+//! * **Page-sharded shadow state.** The `u64 → FtVarState` shadow map
+//!   becomes `N` [`ShadowTable`] shards behind per-shard mutexes. A live
+//!   access is routed by its **4 KiB page**: the page number is mixed
+//!   with one full-width multiply and the *high* bits pick the shard
+//!   ([`page_shard`]). A thread's private pages therefore land on a few
+//!   shards only that thread locks, instead of every thread taking every
+//!   shard mutex and bouncing its cache line between cores. Keeping the
+//!   high bits matters: the low bits of a product depend only on the
+//!   input's low bits, so per-thread regions 1 MiB apart would map onto
+//!   the same shards page for page. The trade-off is that a hot shared
+//!   page serializes on its one home shard lock. The FastTrack check
+//!   itself is the exact production code
 //!   ([`ft_check_read`]/[`ft_check_write`]), shared with the serialized
 //!   detector by construction.
 //! * **A global first-detection ticket.** Each per-shard
@@ -25,6 +33,13 @@
 //!   shard, so sorting by ticket reproduces the serialized detector's
 //!   first-detection report order — pinned byte-stable by the
 //!   equivalence tests.
+//!
+//! Offline replay (`parallel.rs`) instead routes each word key through
+//! [`shard_of`](ddrace_shadow::shard_of) and hands the chosen shard to
+//! the batch entry points: every replay shard has one owner worker, so
+//! it needs balance, not affinity. One `Engine` is driven by
+//! [`Engine::on_access`] or by replay batches, never by both — the two
+//! routings would split one variable's shadow state across two shards.
 //!
 //! Synchronization operations still serialize on one sync lock (they
 //! mutate the happens-before clocks and must be globally ordered — the
@@ -46,13 +61,30 @@ use ddrace_detector::{
     SeqReportSet, VectorClock,
 };
 use ddrace_program::{AccessKind, Addr, BarrierId, Op, ThreadId};
-use ddrace_shadow::{shard_of, ShadowTable};
+use ddrace_shadow::ShadowTable;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Maximum registry segments: segment `s` holds `2^s` thread slots, so 32
 /// segments cover every representable `ThreadId`.
 const REGISTRY_SEGMENTS: usize = 32;
+
+/// Bytes per routing page: every key of one page shares a shard.
+const PAGE_SHIFT: u32 = 12;
+
+/// Fibonacci-hashing multiplier (2^64 / golden ratio) for page routing.
+const PAGE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The shard (of `2^shard_bits`) owning `key`'s 4 KiB page: the page
+/// number times [`PAGE_MUL`], keeping the top `shard_bits` bits.
+#[inline]
+fn page_shard(key: u64, granularity: Granularity, shard_bits: u32) -> usize {
+    let page = key >> (PAGE_SHIFT - granularity.shift());
+    // `checked_shr` covers the one-shard case (a shift by 64).
+    page.wrapping_mul(PAGE_MUL)
+        .checked_shr(u64::BITS - shard_bits)
+        .unwrap_or(0) as usize
+}
 
 /// One thread's cached view of its own happens-before clock.
 #[derive(Debug)]
@@ -143,6 +175,8 @@ pub(crate) struct Engine {
     /// races kept so far (see [`SeqReportSet::record`]).
     ticket: AtomicU64,
     granularity: Granularity,
+    /// `log2` of the shard count, for [`page_shard`].
+    shard_bits: u32,
     max_reports: usize,
 }
 
@@ -162,6 +196,7 @@ impl Engine {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             ticket: AtomicU64::new(0),
             granularity: config.granularity,
+            shard_bits: shards.trailing_zeros(),
             max_reports: config.max_reports,
         }
     }
@@ -291,11 +326,12 @@ impl Engine {
     }
 
     /// Checks one data access: the hot path. Locks the acting thread's
-    /// own cache and the address's shard — never the sync lock.
+    /// own cache and the shard owning the address's page — never the
+    /// sync lock.
     pub(crate) fn on_access(&self, tid: ThreadId, addr: Addr, kind: AccessKind) -> AccessReport {
         let cache = self.threads.slot(tid).lock().unwrap();
         let key = self.granularity.key(addr);
-        let mut shard = self.shards[shard_of(key, self.shards.len())]
+        let mut shard = self.shards[page_shard(key, self.granularity, self.shard_bits)]
             .lock()
             .unwrap();
         // Split borrows so the shadow entry, report set, and counters can
@@ -341,6 +377,15 @@ impl Engine {
         merge_seq_report_sets(guards.iter().map(|g| &g.reports))
     }
 
+    /// Per-shard `accesses_checked`, in shard order: how the routing
+    /// spread the checked accesses over the shard locks.
+    pub(crate) fn shard_loads(&self) -> Vec<u64> {
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap().stats.accesses_checked)
+            .collect()
+    }
+
     /// Aggregated detector statistics: per-shard counters summed, plus
     /// the sync-path operation count. Deterministic (sums commute).
     pub(crate) fn stats(&self) -> DetectorStats {
@@ -356,5 +401,54 @@ impl Engine {
             total.races_observed += s.races_observed;
         }
         total
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_key_of_a_page_routes_to_one_shard() {
+        for granularity in [Granularity::Byte, Granularity::Word, Granularity::Line] {
+            for page in [0u64, 1, 0x1_0100, 0xFFFF_FFFF] {
+                let base = page << PAGE_SHIFT;
+                let home = page_shard(granularity.key(Addr(base)), granularity, 6);
+                for offset in 0..1u64 << PAGE_SHIFT {
+                    let key = granularity.key(Addr(base + offset));
+                    assert_eq!(
+                        page_shard(key, granularity, 6),
+                        home,
+                        "{granularity:?}: page {page:#x} offset {offset}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn regions_a_mebibyte_apart_do_not_share_shards_page_for_page() {
+        // Per-thread private regions at `0x1000_0000 + 0x10_0000·(t+1)`:
+        // a low-bit mix of the page number would send page `j` of every
+        // region to the same shard.
+        let granularity = Granularity::Word;
+        let pages = 64u64;
+        let shards_of = |t: u64| -> Vec<usize> {
+            let base = 0x1000_0000 + 0x10_0000 * (t + 1);
+            (0..pages)
+                .map(|j| {
+                    let key = granularity.key(Addr(base + (j << PAGE_SHIFT)));
+                    page_shard(key, granularity, 6)
+                })
+                .collect()
+        };
+        for (a, b) in [(0, 1), (1, 2), (0, 63)] {
+            let (sa, sb) = (shards_of(a), shards_of(b));
+            let same = sa.iter().zip(&sb).filter(|(x, y)| x == y).count();
+            assert!(
+                same < pages as usize / 4,
+                "regions {a} and {b}: {same} of {pages} pages on identical shards"
+            );
+        }
     }
 }

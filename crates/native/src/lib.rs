@@ -9,11 +9,11 @@
 //! make it production-shaped rather than a test-only prototype:
 //!
 //! * **Sharded shadow state.** Data-access checks touch only the acting
-//!   thread's cached clock and the accessed address's shard (N
-//!   address-sharded `ShadowTable`s behind per-shard locks), so accesses
-//!   to different data never contend. Only synchronization operations —
-//!   the rare path — serialize on a global lock. See `engine.rs` and
-//!   DESIGN.md ("Sharded shadow state").
+//!   thread's cached clock and the shard owning the accessed address's
+//!   4 KiB page (N page-sharded `ShadowTable`s behind per-shard locks),
+//!   so threads working on different pages never contend. Only
+//!   synchronization operations — the rare path — serialize on a global
+//!   lock. See `engine.rs` and DESIGN.md ("Sharded shadow state").
 //! * **A demand-driven toggle.** [`Monitor::disable`] turns the
 //!   data-access hooks into a single relaxed atomic load, mirroring the
 //!   paper's demand-driven mode on real threads: keep monitoring dormant
@@ -138,10 +138,10 @@ impl Default for MonitorConfig {
 
 /// The race monitor: FastTrack for real threads on a sharded engine.
 ///
-/// Data-access hooks lock only the address's shard (plus the calling
-/// thread's own clock cache); sync hooks serialize on one sync lock, as
-/// they must — they mutate the global happens-before order. When
-/// disabled, data-access hooks are a single atomic load.
+/// Data-access hooks lock only the shard owning the address's page
+/// (plus the calling thread's own clock cache); sync hooks serialize on
+/// one sync lock, as they must — they mutate the global happens-before
+/// order. When disabled, data-access hooks are a single atomic load.
 #[derive(Debug)]
 pub struct Monitor {
     engine: Engine,
@@ -517,6 +517,14 @@ impl Monitor {
     pub fn stats(&self) -> DetectorStats {
         self.engine.stats()
     }
+
+    /// Checked accesses per shadow shard, in shard order — a snapshot of
+    /// how the page routing spread the load over the shard locks. The
+    /// counts are kept under each shard's lock anyway, so the hot path
+    /// pays nothing for them; they sum to `stats().accesses_checked`.
+    pub fn shard_loads(&self) -> Vec<u64> {
+        self.engine.shard_loads()
+    }
 }
 
 /// The monitor-visible address of a value: its real memory address. Stable
@@ -730,6 +738,22 @@ mod tests {
         );
         monitor.join(root, child);
         assert!(monitor.stats().sync_ops >= 4);
+    }
+
+    #[test]
+    fn shard_loads_count_one_page_on_one_shard() {
+        let (m, root) = Monitor::new();
+        for word in 0..512u64 {
+            m.write(root, Addr(0x7000_0000 + word * 8));
+        }
+        let loads = m.shard_loads();
+        assert_eq!(loads.len(), DEFAULT_SHARDS);
+        assert_eq!(loads.iter().filter(|&&n| n > 0).collect::<Vec<_>>(), [&512]);
+        m.write(root, Addr(0x7000_1000)); // the next page
+        assert_eq!(
+            m.shard_loads().iter().sum::<u64>(),
+            m.stats().accesses_checked
+        );
     }
 
     #[test]

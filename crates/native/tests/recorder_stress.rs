@@ -6,7 +6,7 @@
 //! drain and taking the writer).
 //!
 //! `DDRACE_NATIVE_THREADS` selects one worker count (CI matrixes over
-//! 1 and 8); default runs both.
+//! 1, 8 and 64); default runs 1 and 8.
 
 use ddrace_native::Monitor;
 use ddrace_program::{Op, TraceEvent};

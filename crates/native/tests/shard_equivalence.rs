@@ -10,7 +10,8 @@
 //!   OS thread to monitors at shard counts 1/4/64 and to a raw
 //!   [`FastTrack`] fed the exact hook semantics. Serial driving makes
 //!   processing order deterministic, so equality is exact, not modulo
-//!   schedule.
+//!   schedule. The data words span 64 pages, so at 64 shards the races
+//!   live in many shards and the first-detection merge is exercised.
 //! * **Real-thread runs** (thread counts 1/8/64, selectable via
 //!   `DDRACE_NATIVE_THREADS` for CI matrixing) assert the
 //!   schedule-independent invariants: the live racy-key set matches the
@@ -69,7 +70,11 @@ fn script(threads: usize, events: usize, seed: u64) -> Vec<Ev> {
             continue;
         }
         let slot = (r >> 8) as usize % live;
-        let addr = Addr(0x1000 + (r >> 24) % 256 * 8);
+        // 256 data words, four per page over 64 pages: the live engine
+        // routes by page, so the words must span many pages for the
+        // report merge to cross shards.
+        let word = (r >> 24) % 256;
+        let addr = Addr(0x10_0000 + (word % 64) * 4096 + (word / 64) * 8);
         let sync_addr = Addr(0x8000 + (r >> 16) % 4 * 8);
         match r % 19 {
             0..=5 => evs.push(Ev::Write { slot, addr }),
@@ -291,6 +296,14 @@ fn scripted_drive_matches_serialized_fasttrack_at_every_shard_count() {
                 monitor.stats(),
                 expected_stats,
                 "seed {seed}, {shards} shards: statistics"
+            );
+            let loads = monitor.shard_loads();
+            assert_eq!(loads.len(), shards);
+            assert_eq!(loads.iter().sum::<u64>(), expected_stats.accesses_checked);
+            let touched = loads.iter().filter(|&&n| n > 0).count();
+            assert!(
+                touched >= shards.min(16),
+                "seed {seed}, {shards} shards: only {touched} shards touched"
             );
         }
     }
