@@ -172,10 +172,12 @@ sed 's/replay_workers": [0-9]*/replay_workers": N/' \
 diff "$REPLAY_SMOKE_DIR/par1.norm" "$REPLAY_SMOKE_DIR/par8.norm"
 rm -rf "$REPLAY_SMOKE_DIR"
 
-# Smoke-run the substrate bench: gates on panics/divergence (both
-# detector variants must agree), never on perf — CI boxes are too noisy.
-echo "==> bench_substrate --smoke"
-cargo run --release -q -p ddrace-bench --bin bench_substrate -- --smoke
+# The benchmark's self-test (ddbench is its own cargo workspace): every
+# workload at Scale::TEST with tracing off and on. Each run must pass its
+# own output checks and print every metric BENCHMARK.json declares. Gates
+# on correctness and schema, never on perf — CI boxes are too noisy.
+echo "==> ddbench self-test"
+cargo test --release --offline --manifest-path ddbench/Cargo.toml
 
 # Smoke-run the native-monitor scaling bench: gates on the JSON schema
 # and nonzero throughput, never on ratios (CI boxes are too noisy).

@@ -231,7 +231,7 @@ fn main() {
         let start = Instant::now();
         decode_events_into(bytes.as_slice(), |_| n += 1).expect("decode trace");
         let ns = start.elapsed().as_nanos() as u64;
-        criterion::black_box(n);
+        std::hint::black_box(n);
         ns
     });
     let check_only = measure("check_only", accesses, samples, || {
@@ -239,7 +239,7 @@ fn main() {
         let start = Instant::now();
         replay(&mut ft, &decoded);
         let ns = start.elapsed().as_nanos() as u64;
-        criterion::black_box(ft.stats().accesses_checked);
+        std::hint::black_box(ft.stats().accesses_checked);
         ns
     });
     // The production ingest pipeline's decode side: frame payloads decode
@@ -251,7 +251,7 @@ fn main() {
         let start = Instant::now();
         decode_events_into_parallel(bytes.as_slice(), 2, |_| n += 1).expect("decode trace");
         let ns = start.elapsed().as_nanos() as u64;
-        criterion::black_box(n);
+        std::hint::black_box(n);
         ns
     });
     let serial = measure("serial", accesses, samples, || {

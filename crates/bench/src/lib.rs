@@ -7,20 +7,29 @@
 //! the harness parallelizes *across* jobs), plain-text table printing,
 //! and JSON result dumps under `results/`.
 //!
+//! Two more binaries measure multi-thread scaling: `bench_native` (the
+//! native monitor at 1, 8 and 64 threads, `BENCH_native.json`) and
+//! `bench_ingest` (parallel replay at 1, 4 and 8 workers,
+//! `BENCH_ingest.json`). Host wall clock end to end and per layer is
+//! the `ddbench/` benchmark's job.
+//!
 //! Environment knobs:
 //!
-//! * `DDRACE_SCALE` — `test`, `small` (default), or `large`; anything
-//!   else is an error (exit 2), never a silent fallback;
+//! * `DDRACE_SCALE` — `test`, `small` (default), or `large`;
 //! * `DDRACE_SEED` — base RNG seed (default 42);
 //! * `DDRACE_SEEDS` — comma-separated seed axis for campaign-backed
 //!   experiments (default: just `DDRACE_SEED`);
-//! * `DDRACE_CORES` — simulated cores (default 8);
-//! * `DDRACE_WORKERS` — host worker threads (default: all cores);
+//! * `DDRACE_CORES` — simulated cores, 1 to 64 (default 8);
+//! * `DDRACE_WORKERS` — host worker threads, at least 1 (default: all
+//!   cores);
 //! * `DDRACE_EVENTS` — JSONL event-stream path for campaign-backed
 //!   experiments (doubles as a resume checkpoint);
 //! * `DDRACE_RESUME` — a prior `DDRACE_EVENTS` stream to restore
 //!   finished jobs from;
 //! * `DDRACE_RESULTS_DIR` — where JSON dumps go (default `results/`).
+//!
+//! A malformed or out-of-range value is an error (exit 2, naming the
+//! variable and the value), never a silent fallback to the default.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -52,26 +61,17 @@ pub struct ExpContext {
 impl ExpContext {
     /// Reads the context from `DDRACE_*` environment variables.
     ///
-    /// An unrecognized `DDRACE_SCALE` value terminates the process with
-    /// exit code 2: a typo like `DDRACE_SCALE=Large` used to silently run
-    /// at SMALL, wasting the whole (possibly hours-long) experiment.
+    /// A bad `DDRACE_SCALE`, `DDRACE_SEED` or `DDRACE_CORES` value
+    /// terminates the process with exit code 2: a typo like
+    /// `DDRACE_SCALE=Large` used to silently run at SMALL, wasting the
+    /// whole (possibly hours-long) experiment.
     pub fn from_env() -> Self {
-        let scale = match std::env::var("DDRACE_SCALE") {
-            Ok(name) => parse_scale_name(&name).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }),
-            Err(_) => Scale::SMALL,
-        };
-        let seed = std::env::var("DDRACE_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42);
-        let cores = std::env::var("DDRACE_CORES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(8);
-        ExpContext { scale, seed, cores }
+        let defaults = ExpContext::default();
+        ExpContext {
+            scale: env_or_exit("DDRACE_SCALE", parse_scale_name).unwrap_or(defaults.scale),
+            seed: env_or_exit("DDRACE_SEED", parse_seed).unwrap_or(defaults.seed),
+            cores: env_or_exit("DDRACE_CORES", parse_cores).unwrap_or(defaults.cores),
+        }
     }
 
     /// The scheduler configuration every experiment uses: jittered with
@@ -141,6 +141,43 @@ pub fn parse_scale_name(name: &str) -> Result<Scale, String> {
             "unknown scale `{other}` (expected test, small, or large)"
         )),
     }
+}
+
+/// Parses a `DDRACE_SEED` value: any `u64`.
+fn parse_seed(value: &str) -> Result<u64, String> {
+    value
+        .parse()
+        .map_err(|_| format!("expected an unsigned 64-bit seed, got `{value}`"))
+}
+
+/// Parses a `DDRACE_CORES` value: 1 to 64 simulated cores, the range of
+/// the CLI's `--cores`.
+fn parse_cores(value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(cores) if (1..=64).contains(&cores) => Ok(cores),
+        _ => Err(format!("expected a core count in 1..=64, got `{value}`")),
+    }
+}
+
+/// Parses a `DDRACE_WORKERS` value: at least 1 host worker thread.
+fn parse_workers(value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(workers) if workers > 0 => Ok(workers),
+        _ => Err(format!(
+            "expected a worker count of at least 1, got `{value}`"
+        )),
+    }
+}
+
+/// Reads environment variable `var` through `parse`: `None` when unset;
+/// a value `parse` refuses terminates the process with exit code 2 and
+/// a message naming the variable.
+fn env_or_exit<T>(var: &str, parse: fn(&str) -> Result<T, String>) -> Option<T> {
+    let value = std::env::var(var).ok()?;
+    Some(parse(&value).unwrap_or_else(|e| {
+        eprintln!("error: {var}: {e}");
+        std::process::exit(2);
+    }))
 }
 
 /// The preset name of a scale (inverse of [`parse_scale_name`]); ad-hoc
@@ -241,17 +278,14 @@ pub fn run_exp_campaign(campaign: &Campaign) -> CampaignReport {
 }
 
 /// Host worker-thread count for campaign execution: `DDRACE_WORKERS`, or
-/// every available core.
+/// every available core. A bad `DDRACE_WORKERS` value terminates the
+/// process with exit code 2.
 pub fn host_workers() -> usize {
-    std::env::var("DDRACE_WORKERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
+    env_or_exit("DDRACE_WORKERS", parse_workers).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
 }
 
 /// Builds the [`Campaign`] that [`run_matrix`] executes: every workload
@@ -285,7 +319,7 @@ pub fn matrix_campaign_seeded(
 }
 
 /// Runs every workload under every mode on the campaign harness's worker
-/// pool. Results keep the input order.
+/// pool, through [`run_exp_campaign`]. Results keep the input order.
 ///
 /// # Panics
 ///
@@ -300,9 +334,11 @@ pub fn run_matrix(
 }
 
 /// Runs the full workload × mode × seed cross product on the campaign
-/// harness. Rows keep workload order; within a row, runs are mode-major
-/// with the seed axis innermost (`runs[m * seeds.len() + s]`), and
-/// multi-seed sweeps carry per-mode mean/min/max fold-downs in
+/// harness, through [`run_exp_campaign`] (so `DDRACE_EVENTS` and
+/// `DDRACE_RESUME` apply). Rows keep workload order; within a row, runs
+/// are mode-major with the seed axis innermost
+/// (`runs[m * seeds.len() + s]`), and multi-seed sweeps carry per-mode
+/// mean/min/max fold-downs in
 /// [`SuiteRow::seed_stats`](ddrace_harness::SuiteRow).
 ///
 /// # Panics
@@ -315,14 +351,7 @@ pub fn run_matrix_seeded(
     modes: &[AnalysisMode],
     seeds: &[u64],
 ) -> Vec<ModeRow> {
-    let campaign = matrix_campaign_seeded(ctx, "matrix", specs, modes, seeds);
-    let report = run_campaign(&campaign, host_workers(), &EventSink::null());
-    for record in &report.records {
-        if let Err(reason) = &record.outcome {
-            panic!("workload {} failed: {reason}", record.label);
-        }
-    }
-    report.rows()
+    run_exp_campaign(&matrix_campaign_seeded(ctx, "matrix", specs, modes, seeds)).rows()
 }
 
 /// Prints a fixed-width table: a header row then data rows.
@@ -458,6 +487,33 @@ mod tests {
             assert!(parse_scale_name(bad).is_err(), "{bad:?} must be rejected");
         }
         assert_eq!(scale_label(Scale { num: 3, den: 2 }), "3/2");
+    }
+
+    #[test]
+    fn seed_cores_and_workers_parse_and_reject_bad_values() {
+        assert_eq!(parse_seed("0"), Ok(0));
+        assert_eq!(parse_seed("18446744073709551615"), Ok(u64::MAX));
+        for bad in ["-1", "42x", "0x2a", "18446744073709551616", ""] {
+            let err = parse_seed(bad).expect_err(bad);
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
+        assert_eq!(parse_cores("1"), Ok(1));
+        assert_eq!(parse_cores("64"), Ok(64));
+        // Out of range would panic later, in CacheConfig.
+        for bad in ["0", "65", "-8", "eight", ""] {
+            let err = parse_cores(bad).expect_err(bad);
+            assert!(
+                err.contains("1..=64") && err.contains(&format!("`{bad}`")),
+                "{err}"
+            );
+        }
+        assert_eq!(parse_workers("1"), Ok(1));
+        assert_eq!(parse_workers("8"), Ok(8));
+        // 0 is refused, not read as "every available core".
+        for bad in ["0", "-1", "all", ""] {
+            let err = parse_workers(bad).expect_err(bad);
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
     }
 
     #[test]

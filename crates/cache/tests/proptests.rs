@@ -1,8 +1,11 @@
 //! Property-based tests for the cache hierarchy and sharing tracker.
 
-use ddrace_cache::{CacheConfig, CacheHierarchy, CoreId};
+use ddrace_cache::{
+    CacheConfig, CacheHierarchy, CoreId, SharingCounts, SharingKind, SharingTracker,
+};
 use ddrace_program::{AccessKind, Addr};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 fn arb_accesses(
     cores: u32,
@@ -24,7 +27,71 @@ fn arb_accesses(
     )
 }
 
+/// An independent model of the sharing tracker's classification rules
+/// over a std `HashMap`, written from the rules rather than the tracker:
+/// per line, the last writer and the set of cores that read since.
+#[derive(Default)]
+struct SharingModel {
+    lines: HashMap<u64, (Option<u32>, HashSet<u32>)>,
+    counts: SharingCounts,
+}
+
+impl SharingModel {
+    /// W→R: the first read by a core since a write by another core.
+    fn read(&mut self, core: u32, line: u64) -> Option<SharingKind> {
+        let (writer, readers) = self.lines.entry(line).or_default();
+        let fresh = readers.insert(core);
+        let remote_writer = writer.is_some_and(|w| w != core);
+        (fresh && remote_writer).then(|| {
+            self.counts.write_read += 1;
+            SharingKind::WriteRead
+        })
+    }
+
+    /// W→W: a write over another core's write. R→W: a write over a
+    /// line some other core read since the last write.
+    fn write(&mut self, core: u32, line: u64) -> (Option<SharingKind>, Option<SharingKind>) {
+        let (writer, readers) = self.lines.entry(line).or_default();
+        let ww = writer.is_some_and(|w| w != core).then(|| {
+            self.counts.write_write += 1;
+            SharingKind::WriteWrite
+        });
+        let rw = readers.iter().any(|&r| r != core).then(|| {
+            self.counts.read_write += 1;
+            SharingKind::ReadWrite
+        });
+        *writer = Some(core);
+        readers.clear();
+        (ww, rw)
+    }
+}
+
 proptest! {
+    /// The shadow-table sharing tracker classifies every access exactly
+    /// as the `HashMap` model does: same per-access events, same W→R,
+    /// W→W and R→W totals, same number of lines.
+    #[test]
+    fn sharing_tracker_matches_hashmap_model(
+        stream in proptest::collection::vec(
+            (0..5u32, 0..40u64, prop_oneof![3 => Just(false), 2 => Just(true)]),
+            1..600,
+        ),
+    ) {
+        let mut tracker = SharingTracker::new();
+        let mut model = SharingModel::default();
+        for (core, line, write) in stream {
+            // Spread the small line set over the whole key space.
+            let line = line.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+            if write {
+                prop_assert_eq!(tracker.on_write(CoreId(core), line), model.write(core, line));
+            } else {
+                prop_assert_eq!(tracker.on_read(CoreId(core), line), model.read(core, line));
+            }
+        }
+        prop_assert_eq!(tracker.counts(), model.counts);
+        prop_assert_eq!(tracker.lines_tracked(), model.lines.len());
+    }
+
     /// Structural invariants (inclusion, directory precision, MESI
     /// exclusivity) hold after any access sequence, even on tiny caches
     /// with heavy eviction pressure — with and without the prefetcher.
